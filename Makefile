@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke cover bench bench-diff fidelity-smoke tail-fidelity-smoke clean
+.PHONY: tier1 vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke cover bench bench-diff perfbench fidelity-smoke tail-fidelity-smoke clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -159,6 +159,17 @@ bench-diff: build
 	else \
 		$(GO) run ./cmd/benchjson -compare "$$1" "$$2" -maxregress 15; \
 	fi
+
+# perfbench runs the repository benchmark declared in BENCHMARK.json once
+# per workload, seed 1: sim-set16k (the simulated testbed, 16 KiB SETs) and
+# tcp-getset64 (real sockets over loopback, 64 B GET/SET). Each prints its
+# checks and end-to-end metrics as one JSON line; --trace 1 adds the
+# per-layer attribution. Wall-clock metrics swing with the host, so compare
+# two trees by interleaving their runs, not against a stored number; and at
+# about a minute it stays out of tier1.
+perfbench:
+	bash perfbench/run.sh --workload sim-set16k --seed 1 --seconds 10 --trace 0
+	bash perfbench/run.sh --workload tcp-getset64 --seed 1 --seconds 10 --trace 0
 
 # fidelity-smoke replays the whole workload zoo through the model-fidelity
 # harness at a reduced duration — a fast end-to-end check that cmd/fidelity

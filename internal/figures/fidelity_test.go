@@ -60,8 +60,9 @@ func TestFidelityReportDeterministic(t *testing.T) {
 }
 
 // TestZooReplayByteIdentical replays every zoo workload twice under the
-// same seed and requires the tcpsim stream digests — running FNV-1a over
-// every byte the client sent and read, and the same on the server — to
+// same seed and requires the tcpsim stream digests — a running 64-bit
+// CRC-32C/CRC-32 digest over every byte the client sent and read, and the
+// same on the server — to
 // match exactly, along with the ground-truth latency distribution. This is
 // the replayability contract the zoo documents: a workload is a pure
 // function of (seed, index), so a rerun is not just statistically similar

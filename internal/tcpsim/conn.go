@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"e2ebatch/internal/netem"
@@ -12,11 +13,13 @@ import (
 // segment is what travels on the wire: a (possibly empty) payload flush plus
 // the piggybacked cumulative ACK, advertised window, sender message
 // boundaries, and — when due — the 36-byte queue-state metadata exchange.
+// The payload is carried as a stream range, not bytes: the receiver copies
+// [start, start+n) out of the sender's send buffer on delivery.
 type segment struct {
-	payload []byte
-	start   int64 // absolute stream offset of payload[0]
-	nsegs   int   // number of MSS wire segments in this flush
-	bounds  []int64
+	start  int64 // absolute stream offset of the payload's first byte
+	n      int64 // payload length in bytes
+	nsegs  int   // number of MSS wire segments in this flush
+	bounds []int64
 
 	ack int64
 	wnd int64
@@ -51,12 +54,13 @@ type Stats struct {
 	StatesDelayed   uint64 // inbound exchanges deferred by the fault hook
 	StatesDuped     uint64 // inbound exchanges replayed by the fault hook
 
-	// SentDigest and ReadDigest are not counts but running FNV-1a digests
-	// of every byte the application has written to (Send) and read from
+	// SentDigest and ReadDigest are not counts but running 64-bit stream
+	// digests (CRC-32C in the high word, CRC-32 IEEE in the low word) of
+	// every byte the application has written to (Send) and read from
 	// (Read) this endpoint — the replay seam the model-fidelity harness
 	// uses: two runs of a deterministic workload produced byte-identical
 	// streams iff their digests match, with nothing retained. They start
-	// at the FNV-1a offset basis.
+	// at zero, the digest of the empty stream.
 	SentDigest uint64
 	ReadDigest uint64
 }
@@ -75,7 +79,12 @@ type Conn struct {
 	sndUna   int64 // oldest unacknowledged offset
 	sndNxt   int64 // next offset to transmit
 	sndLimit int64 // highest offset the peer's window permits
-	wq       []byte
+	// sbuf[soff:] holds the stream bytes from sndUna on: first the
+	// transmitted-but-unACKed range [sndUna, sndNxt), then the unsent
+	// rest. Segments carry offsets into it, the peer copies out of it on
+	// delivery, and rtoFire retransmits from it.
+	sbuf []byte
+	soff int
 	// msgEndsUntx are send-call boundaries not yet transmitted (carried
 	// to the peer in flushes); msgEndsUnacked are boundaries not yet
 	// ACKed (for UnitSends unacked accounting). Both ascending.
@@ -85,16 +94,17 @@ type Conn struct {
 	nodelay        bool
 	corkBytes      int64 // Nagle hold threshold (MSS = classic Nagle)
 	corkEv         *sim.Event
-	// rtxBuf holds the unACKed byte range [sndUna, sndNxt) for go-back-N
-	// retransmission on lossy links (Config.RTO > 0).
-	rtxBuf     []byte
-	rtoEv      *sim.Event
-	rtoBackoff int
+	rtoEv          *sim.Event
+	rtoBackoff     int
+	closed         bool // Close ran: the RTO timer stays disarmed
 
 	// ---- receiver state ----
-	rcvNxt         int64
-	rcvWup         int64 // last offset acknowledged to the peer
-	rq             []byte
+	rcvNxt int64
+	rcvWup int64 // last offset acknowledged to the peer
+	// rbuf[roff:] holds the delivered, unread bytes, which start at
+	// stream offset rqStart. The buffer is reused across deliveries.
+	rbuf           []byte
+	roff           int
 	rqStart        int64
 	rcvSegEnds     []int64
 	rcvMsgEnds     []int64
@@ -145,8 +155,6 @@ func Connect(a, b *Stack, link *netem.Link, cfg Config) (*Conn, *Conn) {
 		corkBytes: cork, sndLimit: cfg.RecvBuf, lastAdvWnd: cfg.RecvBuf, lastExchange: now}
 	cb := &Conn{stack: b, cfg: cfg, tx: link.BtoA, name: b.Name, nodelay: !cfg.Nagle,
 		corkBytes: cork, sndLimit: cfg.RecvBuf, lastAdvWnd: cfg.RecvBuf, lastExchange: now}
-	ca.stats.SentDigest, ca.stats.ReadDigest = fnvOffset, fnvOffset
-	cb.stats.SentDigest, cb.stats.ReadDigest = fnvOffset, fnvOffset
 	ca.peer, cb.peer = cb, ca
 	ca.instr.init(now)
 	cb.instr.init(now)
@@ -246,35 +254,40 @@ func (c *Conn) Send(data []byte) {
 		return
 	}
 	now := c.stack.Sim.Now()
-	c.wq = append(c.wq, data...)
-	end := c.sndNxt + int64(len(c.wq))
+	c.sbuf, c.soff = compact(c.sbuf, c.soff)
+	c.sbuf = append(c.sbuf, data...)
+	end := c.sndEnd()
 	c.msgEndsUntx = append(c.msgEndsUntx, end)
 	c.msgEndsUnacked = append(c.msgEndsUnacked, end)
 	c.instr.unacked.track(now, int64(len(data)), 0, 1)
 	c.stats.Sends++
-	c.stats.SentDigest = fnv1a(c.stats.SentDigest, data)
+	c.stats.SentDigest = digest(c.stats.SentDigest, data)
 	c.pump()
 }
 
 // Readable returns the number of delivered, unread bytes.
-func (c *Conn) Readable() int { return len(c.rq) }
+func (c *Conn) Readable() int { return len(c.rbuf) - c.roff }
 
 // Read consumes up to max bytes from the receive buffer (all of it if max
 // <= 0), returning nil when nothing is readable. As with Send, the caller
 // charges its own app CPU cost.
+//
+// The returned slice is a view into the receive buffer, not a copy: it
+// stays valid only until the next event on this Conn (a later delivery
+// reuses the buffer). Callers that keep the bytes must copy them, as a
+// parser's Feed does.
 func (c *Conn) Read(max int) []byte {
-	n := len(c.rq)
+	n := c.Readable()
 	if n == 0 {
 		return nil
 	}
 	if max > 0 && max < n {
 		n = max
 	}
-	data := make([]byte, n)
-	copy(data, c.rq[:n])
-	c.rq = c.rq[n:]
+	data := c.rbuf[c.roff : c.roff+n : c.roff+n]
+	c.roff += n
 	c.rqStart += int64(n)
-	c.stats.ReadDigest = fnv1a(c.stats.ReadDigest, data)
+	c.stats.ReadDigest = digest(c.stats.ReadDigest, data)
 
 	segs := popLE(&c.rcvSegEnds, c.rqStart)
 	msgs := popLE(&c.rcvMsgEnds, c.rqStart)
@@ -292,7 +305,10 @@ func (c *Conn) Read(max int) []byte {
 func (c *Conn) InFlight() int64 { return c.sndNxt - c.sndUna }
 
 // Unsent returns bytes written but not yet transmitted.
-func (c *Conn) Unsent() int64 { return int64(len(c.wq)) }
+func (c *Conn) Unsent() int64 { return c.sndEnd() - c.sndNxt }
+
+// sndEnd is the stream offset one past the last byte written by Send.
+func (c *Conn) sndEnd() int64 { return c.sndUna + int64(len(c.sbuf)-c.soff) }
 
 // Snapshots captures the three local queue snapshots in the given unit.
 func (c *Conn) Snapshots(u Unit) (unacked, unread, ackdelay qstate.Snapshot) {
@@ -332,10 +348,13 @@ func (c *Conn) RequestExchange() {
 	c.scheduleAck()
 }
 
-// Close cancels the endpoint's timers. Data in flight is abandoned.
+// Close cancels the endpoint's timers. Data in flight is abandoned: the
+// retransmission timer stays disarmed even if ACKs still arrive.
 func (c *Conn) Close() {
+	c.closed = true
 	c.cancelCork()
 	c.cancelDelack()
+	c.cancelRTO()
 	c.onReadable = nil
 	c.onPeerState = nil
 }
@@ -344,7 +363,7 @@ func (c *Conn) Close() {
 
 func (c *Conn) pump() {
 	for {
-		avail := int64(len(c.wq))
+		avail := c.Unsent()
 		if avail == 0 {
 			c.cancelCork()
 			return
@@ -398,7 +417,7 @@ func (c *Conn) pump() {
 func (c *Conn) flushHeld() {
 	c.cancelCork()
 	for {
-		avail := int64(len(c.wq))
+		avail := c.Unsent()
 		if avail == 0 {
 			return
 		}
@@ -420,9 +439,6 @@ func (c *Conn) flushHeld() {
 
 func (c *Conn) transmit(n int64) {
 	now := c.stack.Sim.Now()
-	payload := make([]byte, n)
-	copy(payload, c.wq[:n])
-	c.wq = c.wq[n:]
 	start := c.sndNxt
 	c.sndNxt += n
 	end := start + n
@@ -447,17 +463,17 @@ func (c *Conn) transmit(n int64) {
 	c.stats.Flushes++
 	c.stats.Segments += uint64(nsegs)
 	c.stats.BytesSent += uint64(n)
-	if c.cfg.RTO > 0 {
-		c.rtxBuf = append(c.rtxBuf, payload...)
-		c.armRTO()
-	}
+	c.armRTO()
+	c.sendPayload(start, n, nsegs, bounds)
+}
 
-	cost := c.stack.TxCosts.Batch(nsegs, int(n))
-	c.stack.SoftirqCPU.Exec(cost, func() {
-		seg := &segment{payload: payload, start: start, nsegs: nsegs, bounds: bounds}
+// sendPayload charges the transmit cost of one flush of the stream range
+// [start, start+n) and then puts it on the wire.
+func (c *Conn) sendPayload(start, n int64, nsegs int, bounds []int64) {
+	c.stack.SoftirqCPU.Exec(c.stack.TxCosts.Batch(nsegs, int(n)), func() {
+		seg := &segment{start: start, n: n, nsegs: nsegs, bounds: bounds}
 		c.finishSegment(seg)
-		wire := len(payload) + nsegs*c.cfg.HeaderBytes
-		c.tx.Send(wire, func() { c.peer.receive(seg) })
+		c.tx.Send(int(n)+nsegs*c.cfg.HeaderBytes, func() { c.peer.receive(seg) })
 	})
 }
 
@@ -496,7 +512,7 @@ func (c *Conn) exchangeDue() bool {
 }
 
 func (c *Conn) advertiseWnd() int64 {
-	w := c.cfg.RecvBuf - int64(len(c.rq))
+	w := c.cfg.RecvBuf - int64(c.Readable())
 	if w < 0 {
 		w = 0
 	}
@@ -522,12 +538,12 @@ func (c *Conn) noteAckSent() {
 // ---- receive path ----
 
 func (c *Conn) receive(seg *segment) {
-	if len(seg.payload) == 0 {
+	if seg.n == 0 {
 		c.stack.SoftirqCPU.Exec(c.stack.AckRxCost, func() { c.deliver(seg) })
 		return
 	}
 	if !c.cfg.GRO {
-		cost := c.stack.RxCosts.Batch(seg.nsegs, len(seg.payload))
+		cost := c.stack.RxCosts.Batch(seg.nsegs, int(seg.n))
 		c.stack.SoftirqCPU.Exec(cost, func() { c.deliver(seg) })
 		return
 	}
@@ -555,7 +571,7 @@ func (c *Conn) groPoll() {
 	segs, bytes := 0, 0
 	for _, seg := range batch {
 		segs += seg.nsegs
-		bytes += len(seg.payload)
+		bytes += int(seg.n)
 	}
 	c.stats.GROBatches++
 	c.stats.GROMerged += uint64(len(batch) - 1)
@@ -574,7 +590,7 @@ func (c *Conn) deliver(seg *segment) {
 	}
 	c.processAck(seg.ack, seg.wnd)
 
-	if len(seg.payload) == 0 {
+	if seg.n == 0 {
 		return
 	}
 	if seg.start != c.rcvNxt {
@@ -583,7 +599,7 @@ func (c *Conn) deliver(seg *segment) {
 			// Without recovery machinery a sequence hole is a model
 			// bug, not a recoverable condition.
 			panic(fmt.Sprintf("tcpsim: out-of-order delivery at %d, expected %d (lossy pipe without Config.RTO?)", seg.start, c.rcvNxt))
-		case seg.start+int64(len(seg.payload)) <= c.rcvNxt:
+		case seg.start+seg.n <= c.rcvNxt:
 			// Pure duplicate (a retransmission raced the ack):
 			// discard, but re-ack so the sender resyncs.
 			c.stats.DupPayloads++
@@ -592,10 +608,9 @@ func (c *Conn) deliver(seg *segment) {
 			return
 		case seg.start < c.rcvNxt:
 			// Overlapping retransmission: accept only the new tail.
-			cut := c.rcvNxt - seg.start
-			seg.payload = seg.payload[cut:]
+			seg.n -= c.rcvNxt - seg.start
 			seg.start = c.rcvNxt
-			seg.nsegs = int((int64(len(seg.payload)) + int64(c.cfg.MSS) - 1) / int64(c.cfg.MSS))
+			seg.nsegs = int((seg.n + int64(c.cfg.MSS) - 1) / int64(c.cfg.MSS))
 			var kept []int64
 			for _, b := range seg.bounds {
 				if b > c.rcvNxt {
@@ -613,8 +628,13 @@ func (c *Conn) deliver(seg *segment) {
 			return
 		}
 	}
-	n := int64(len(seg.payload))
-	c.rq = append(c.rq, seg.payload...)
+	// The one copy on the byte path: out of the peer's send buffer. Bytes
+	// at or past rcvNxt have never been ACKed, so the peer still holds them.
+	n := seg.n
+	c.rbuf, c.roff = compact(c.rbuf, c.roff)
+	p := c.peer
+	from := p.soff + int(seg.start-p.sndUna)
+	c.rbuf = append(c.rbuf, p.sbuf[from:from+int(n)]...)
 	c.rcvNxt += n
 
 	mss := int64(c.cfg.MSS)
@@ -693,8 +713,8 @@ func (c *Conn) processAck(ack, wnd int64) {
 		msgs := popLE(&c.msgEndsUnacked, ack)
 		c.instr.unacked.track(now, -delta, -segs, -msgs)
 		c.sndUna = ack
+		c.soff += int(delta)
 		if c.cfg.RTO > 0 {
-			c.rtxBuf = c.rtxBuf[delta:]
 			c.rtoBackoff = 0
 			c.cancelRTO()
 			if c.InFlight() > 0 {
@@ -711,7 +731,7 @@ func (c *Conn) processAck(ack, wnd int64) {
 // ---- loss recovery (go-back-N) ----
 
 func (c *Conn) armRTO() {
-	if c.rtoEv != nil || c.cfg.RTO <= 0 {
+	if c.rtoEv != nil || c.cfg.RTO <= 0 || c.closed {
 		return
 	}
 	timeout := c.cfg.RTO << uint(c.rtoBackoff)
@@ -738,15 +758,12 @@ func (c *Conn) rtoFire() {
 		c.rtoBackoff++
 	}
 	mss := int64(c.cfg.MSS)
-	for off := int64(0); off < int64(len(c.rtxBuf)); {
-		n := int64(len(c.rtxBuf)) - off
+	for start := c.sndUna; start < c.sndNxt; {
+		n := c.sndNxt - start
 		if m := int64(c.cfg.TSOMaxBytes); n > m {
 			n = m
 		}
-		start := c.sndUna + off
 		end := start + n
-		payload := make([]byte, n)
-		copy(payload, c.rtxBuf[off:off+n])
 		nsegs := int((n + mss - 1) / mss)
 		var bounds []int64
 		for _, b := range c.msgEndsUnacked {
@@ -754,12 +771,8 @@ func (c *Conn) rtoFire() {
 				bounds = append(bounds, b)
 			}
 		}
-		c.stack.SoftirqCPU.Exec(c.stack.TxCosts.Batch(nsegs, int(n)), func() {
-			seg := &segment{payload: payload, start: start, nsegs: nsegs, bounds: bounds}
-			c.finishSegment(seg)
-			c.tx.Send(len(payload)+nsegs*c.cfg.HeaderBytes, func() { c.peer.receive(seg) })
-		})
-		off += n
+		c.sendPayload(start, n, nsegs, bounds)
+		start = end
 	}
 	c.armRTO()
 }
@@ -849,16 +862,27 @@ func popLE(s *[]int64, limit int64) int64 {
 	return int64(i)
 }
 
-// fnv1a folds data into a running 64-bit FNV-1a digest (h starts at
-// fnvOffset). Hand-rolled rather than hash/fnv to stay allocation-free on
-// the per-Read/Send path.
-func fnv1a(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
+// compact drops the consumed prefix buf[:off] once it is at least as long
+// as the live rest, so the copy is paid for by the bytes consumed since the
+// last compaction and a drained buffer is reused from its start.
+func compact(buf []byte, off int) ([]byte, int) {
+	if off == 0 || off < len(buf)-off {
+		return buf, off
 	}
-	return h
+	return buf[:copy(buf, buf[off:])], 0
 }
 
-// fnvOffset is the FNV-1a 64-bit offset basis.
-const fnvOffset = 14695981039346656037
+// castagnoli is the CRC-32C table; hash/crc32 recognizes it and uses the
+// SSE4.2 (or ARMv8 CRC) instructions where the CPU has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// digest folds data into a running 64-bit stream digest that starts at 0:
+// CRC-32C in the high word and CRC-32 (IEEE) in the low word, both
+// hardware-accelerated by hash/crc32. Folding a stream in pieces gives the
+// same digest as folding it in one go, which is what lets Send and Read
+// keep it running across calls of any size.
+func digest(d uint64, data []byte) uint64 {
+	hi := crc32.Update(uint32(d>>32), castagnoli, data)
+	lo := crc32.Update(uint32(d), crc32.IEEETable, data)
+	return uint64(hi)<<32 | uint64(lo)
+}

@@ -576,6 +576,24 @@ func TestCloseCancelsTimers(t *testing.T) {
 	}
 }
 
+// TestCloseCancelsRTO closes a sender with unACKed data on a lossy link:
+// retransmission must stop, even though ACKs for earlier flushes are still
+// on the wire when Close runs.
+func TestCloseCancelsRTO(t *testing.T) {
+	s, ca, _ := lossyNet(t, 3, 0.5)
+	ca.Send(payload(256 << 10))
+	s.RunFor(5 * time.Millisecond)
+	if ca.InFlight() == 0 || ca.Stats().Retransmits == 0 {
+		t.Fatalf("setup: in flight %d, retransmits %d; want both > 0", ca.InFlight(), ca.Stats().Retransmits)
+	}
+	ca.Close()
+	before := ca.Stats().Retransmits
+	s.RunFor(time.Second)
+	if got := ca.Stats().Retransmits; got != before {
+		t.Fatalf("retransmits grew after Close: %d -> %d", before, got)
+	}
+}
+
 func TestBidirectionalTraffic(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Nagle = false

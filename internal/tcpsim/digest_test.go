@@ -8,36 +8,35 @@ import (
 	"e2ebatch/internal/sim"
 )
 
-// TestFNV1aKnownVectors pins the digest primitive against the published
-// FNV-1a 64 test vectors, so the replay seam can never silently become a
-// different hash.
-func TestFNV1aKnownVectors(t *testing.T) {
-	if fnvOffset != 14695981039346656037 {
-		t.Fatalf("offset basis = %d", uint64(fnvOffset))
-	}
+// TestDigestKnownVectors pins the digest primitive against the published
+// check values of both CRCs for "123456789" (CRC-32C 0xE3069283, CRC-32
+// 0xCBF43926), so the replay seam can never silently become a different
+// hash.
+func TestDigestKnownVectors(t *testing.T) {
 	cases := []struct {
 		in   string
 		want uint64
 	}{
-		{"", fnvOffset},
-		{"a", 0xaf63dc4c8601ec8c},
-		{"foobar", 0x85944171f73967e8},
+		{"", 0},
+		{"123456789", 0xE3069283_CBF43926},
 	}
 	for _, c := range cases {
-		if got := fnv1a(fnvOffset, []byte(c.in)); got != c.want {
-			t.Errorf("fnv1a(%q) = %#x, want %#x", c.in, got, c.want)
+		if got := digest(0, []byte(c.in)); got != c.want {
+			t.Errorf("digest(%q) = %#x, want %#x", c.in, got, c.want)
 		}
 	}
 	// Incremental hashing over split inputs equals one-shot hashing —
 	// the property Send/Read rely on.
-	split := fnv1a(fnv1a(fnvOffset, []byte("foo")), []byte("bar"))
-	if split != 0x85944171f73967e8 {
-		t.Errorf("split digest = %#x", split)
+	for cut := 0; cut <= 9; cut++ {
+		in := []byte("123456789")
+		if split := digest(digest(0, in[:cut]), in[cut:]); split != 0xE3069283_CBF43926 {
+			t.Errorf("digest split at %d = %#x", cut, split)
+		}
 	}
 }
 
 // TestStreamDigestsTrackBytes drives a small echo exchange and checks the
-// digest invariants: initialized to the offset basis, updated by traffic,
+// digest invariants: initialized to zero, updated by traffic,
 // and — since TCP delivers the sent stream intact — each side's ReadDigest
 // equal to the peer's SentDigest once everything is consumed.
 func TestStreamDigestsTrackBytes(t *testing.T) {
@@ -46,8 +45,8 @@ func TestStreamDigestsTrackBytes(t *testing.T) {
 	link := netem.NewLink(s, "lnk", netem.Config{BitsPerSec: 100_000_000_000, Propagation: time.Microsecond})
 	cc, sc := Connect(cs, ss, link, DefaultConfig())
 
-	if st := cc.Stats(); st.SentDigest != fnvOffset || st.ReadDigest != fnvOffset {
-		t.Fatalf("fresh conn digests not at offset basis: %+v", st)
+	if st := cc.Stats(); st.SentDigest != 0 || st.ReadDigest != 0 {
+		t.Fatalf("fresh conn digests not zero: %+v", st)
 	}
 
 	var serverRead []byte
@@ -61,10 +60,10 @@ func TestStreamDigestsTrackBytes(t *testing.T) {
 		}
 	})
 	payloads := [][]byte{[]byte("hello "), []byte("stream"), make([]byte, 3000)}
-	var want uint64 = fnvOffset
+	var want uint64
 	for _, p := range payloads {
 		cc.Send(p)
-		want = fnv1a(want, p)
+		want = digest(want, p)
 	}
 	s.RunFor(10 * time.Millisecond)
 
@@ -80,7 +79,7 @@ func TestStreamDigestsTrackBytes(t *testing.T) {
 	}
 	// The server sent nothing: its sent digest is untouched, as is the
 	// client's read digest.
-	if scSt.SentDigest != fnvOffset || ccSt.ReadDigest != fnvOffset {
+	if scSt.SentDigest != 0 || ccSt.ReadDigest != 0 {
 		t.Fatalf("idle direction digests moved: %#x %#x", scSt.SentDigest, ccSt.ReadDigest)
 	}
 	// Different payload bytes produce a different digest even at equal

@@ -171,3 +171,39 @@ func TestLosslessWithoutRTOStillPanicsOnGap(t *testing.T) {
 	}
 	s.RunUntil(sim.Time(time.Second))
 }
+
+// TestLossOverlappingRetransmitKeepsNewTail loses the ACK for a delivered
+// flush together with the flush after it, so the go-back-N retransmission
+// overlaps bytes the receiver already holds. Only the new tail may be
+// appended, copied from the right offset of the sender's send buffer.
+func TestLossOverlappingRetransmitKeepsNewTail(t *testing.T) {
+	s, ca, cb := lossyNet(t, 1, 0)
+	rng := rand.New(rand.NewSource(1))
+	first, second := make([]byte, 1000), make([]byte, 2000)
+	rng.Read(first)
+	rng.Read(second)
+
+	ca.Send(first)
+	s.RunFor(100 * time.Microsecond) // one segment: its ACK waits on the delayed-ACK timer
+	if cb.Readable() != len(first) {
+		t.Fatalf("setup: readable %d, want %d", cb.Readable(), len(first))
+	}
+	ca.tx.SetLossProb(0.999999)
+	cb.tx.SetLossProb(0.999999)
+	ca.Send(second)
+	s.RunFor(time.Millisecond) // the second flush and the delayed ACK are dropped
+	ca.tx.SetLossProb(0)
+	cb.tx.SetLossProb(0)
+	s.RunFor(20 * time.Millisecond) // the RTO resends [0, 3000)
+
+	if ca.Stats().Retransmits == 0 || cb.Stats().DupPayloads == 0 {
+		t.Fatalf("no overlapping retransmission: retransmits %d, dup payloads %d",
+			ca.Stats().Retransmits, cb.Stats().DupPayloads)
+	}
+	if got, want := cb.Read(0), append(first, second...); !bytes.Equal(got, want) {
+		t.Fatalf("stream corrupted: got %d bytes, want %d", len(got), len(want))
+	}
+	if ca.InFlight() != 0 || ca.Stats().SentDigest != cb.Stats().ReadDigest {
+		t.Fatalf("in flight %d, digests %#x/%#x", ca.InFlight(), ca.Stats().SentDigest, cb.Stats().ReadDigest)
+	}
+}
